@@ -246,87 +246,6 @@ fn bench_learn_stage(c: &mut Criterion) {
     group.finish();
 }
 
-/// The packed example-major learning arena against the hash-map SGD
-/// oracle it replaces, priced two ways. The `hospital_train` pair runs
-/// one full `learn::train` call (arena gather plus every epoch) on the
-/// compiled hospital model — divide by `LearnConfig::epochs` for the
-/// per-epoch cost; the one-time gather is amortised across the epochs,
-/// and the packed arm must beat the naive arm on the committed
-/// `BENCH_*.json` snapshot. The `stream_replay_16` pair drives a full
-/// 16-batch `StreamSession` ingest (per-batch replay retraining
-/// included) with the kernel on vs off — everything outside the learn
-/// path is identical, so the spread prices the kernel inside the
-/// incremental engine. All arms are bit-for-bit output-identical; the
-/// delta is pure wall-clock.
-fn bench_learn_kernel(c: &mut Criterion) {
-    use holoclean::stream::StreamSession;
-    let mut group = c.benchmark_group("learn_kernel");
-    group.sample_size(10);
-    let mut gen = build(DatasetKind::Hospital, small_scale());
-    let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
-    let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
-    let stats = CooccurStats::build(&gen.dirty);
-    let matches = Default::default();
-    let config = HoloConfig::default();
-    let model = compile(&CompileInput {
-        ds: &gen.dirty,
-        constraints: &cons,
-        noisy: &noisy,
-        violations: &violations,
-        stats: &stats,
-        matches: &matches,
-        config: &config,
-    })
-    .unwrap();
-    for (label, packed) in [("packed", true), ("naive", false)] {
-        let mut learn = config.learn;
-        learn.packed = packed;
-        group.bench_function(BenchmarkId::new("hospital_train", label), |b| {
-            b.iter(|| {
-                let mut w = model.weights.clone();
-                black_box(holo_factor::learn::train(&model.graph, &mut w, &learn))
-            })
-        });
-    }
-    let rows: Vec<Vec<String>> = gen
-        .dirty
-        .tuples()
-        .map(|t| {
-            gen.dirty
-                .schema()
-                .attrs()
-                .map(|a| gen.dirty.cell_str(t, a).to_string())
-                .collect()
-        })
-        .collect();
-    let batches = 16usize;
-    for (label, packed) in [("packed", true), ("naive", false)] {
-        let mut config = HoloConfig::default()
-            .with_threads(1)
-            .with_packed_learn(packed);
-        config.tau = gen.kind.paper_tau();
-        group.bench_function(BenchmarkId::new("stream_replay_16", label), |b| {
-            b.iter(|| {
-                let mut session = StreamSession::new(
-                    gen.dirty.schema().clone(),
-                    &gen.constraints_text,
-                    config.clone(),
-                )
-                .unwrap();
-                for chunk in rows.chunks(rows.len().div_ceil(batches)) {
-                    black_box(session.push_batch(chunk).unwrap());
-                }
-                black_box(session.report().repairs.len())
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_gibbs(c: &mut Criterion) {
     let mut group = c.benchmark_group("gibbs");
     group.sample_size(10);
@@ -838,7 +757,6 @@ criterion_group!(
     bench_compile_variants,
     bench_learning_and_inference,
     bench_learn_stage,
-    bench_learn_kernel,
     bench_gibbs,
     bench_gibbs_kernel,
     bench_infer_partitioned,

@@ -23,10 +23,7 @@
 //! plus compaction, so `--dc-factors --stream` is a supported pair;
 //! with `--no-score-cache`, the frozen-weight score cache is disabled.
 //! The cache is a pure wall-clock knob, so CI diffs the dump with it on
-//! vs off — byte-identical output is the contract. `--naive-learn`
-//! routes SGD through the hash-map oracle instead of the packed
-//! example-major arena; the packed kernel is the same kind of pure
-//! wall-clock knob, diffed the same way. `--naive-stats` routes
+//! vs off — byte-identical output is the contract. `--naive-stats` routes
 //! co-occurrence statistics through the hash-map oracle instead of the
 //! dense count blocks — also pure wall-clock, diffed the same way.
 //!
@@ -63,7 +60,6 @@ fn main() {
         .with_threads(args.threads)
         .with_chromatic_gibbs(args.chromatic)
         .with_score_cache(!args.no_score_cache)
-        .with_packed_learn(!args.naive_learn)
         .with_naive_stats(args.naive_stats)
         .with_cor_strength(args.cor_strength);
     if args.dc_factors {

@@ -65,12 +65,6 @@ pub struct Args {
     /// DC-factor model variant, exercising the exact/Gibbs engines the
     /// default clique-free model never routes to.
     pub dc_factors: bool,
-    /// Disable the packed example-major learning arena (`diag`,
-    /// `dump_repairs`), routing SGD through the naive hash-map oracle.
-    /// The packed kernel is a pure wall-clock knob — weights, repairs
-    /// and posteriors are byte-identical on or off — which is the
-    /// equivalence CI diffs.
-    pub naive_learn: bool,
     /// Route co-occurrence statistics through the naive hash-map oracle
     /// (`diag`, `dump_repairs`) instead of the dense count blocks. A pure
     /// wall-clock knob — domains, repairs and posteriors are byte-identical
@@ -104,7 +98,6 @@ impl Default for Args {
             chromatic: false,
             no_score_cache: false,
             dc_factors: false,
-            naive_learn: false,
             naive_stats: false,
             cor_strength: None,
             crud: false,
@@ -156,7 +149,6 @@ impl Args {
                 "--chromatic" => args.chromatic = true,
                 "--no-score-cache" => args.no_score_cache = true,
                 "--dc-factors" => args.dc_factors = true,
-                "--naive-learn" => args.naive_learn = true,
                 "--naive-stats" => args.naive_stats = true,
                 "--cor-strength" => {
                     args.cor_strength = Some(
@@ -181,8 +173,8 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: <bin> [--scale F] [--seed N] [--full] [--json] [--scare-budget SECS]\n\
          \x20            [--stream K] [--threads N] [--marginals] [--chromatic]\n\
-         \x20            [--no-score-cache] [--dc-factors] [--naive-learn]\n\
-         \x20            [--naive-stats] [--cor-strength F] [--crud]\n\
+         \x20            [--no-score-cache] [--dc-factors] [--naive-stats]\n\
+         \x20            [--cor-strength F] [--crud]\n\
          \n\
          --scale F          row-count multiplier (default 1.0)\n\
          --seed N           generator seed (default 42)\n\
@@ -195,7 +187,6 @@ fn usage(msg: &str) -> ! {
          --chromatic        chromatic Gibbs colour sweeps (diag, dump_repairs)\n\
          --no-score-cache   disable the frozen-weight score cache (diag, dump_repairs)\n\
          --dc-factors       partitioned DC-factor model variant (dump_repairs)\n\
-         --naive-learn      disable the packed learning arena (diag, dump_repairs)\n\
          --naive-stats      use the naive hash-map co-occurrence oracle instead of\n\
          \x20                  the dense count blocks (diag, dump_repairs)\n\
          --cor-strength F   gate Algorithm 2 to partner attributes with\n\
@@ -259,15 +250,7 @@ mod tests {
         let a = Args::parse(argv(&["--no-score-cache", "--dc-factors"]));
         assert!(a.no_score_cache);
         assert!(a.dc_factors);
-        assert!(!a.naive_learn);
         assert!(!a.crud);
-    }
-
-    #[test]
-    fn parse_naive_learn_flag() {
-        let a = Args::parse(argv(&["--naive-learn"]));
-        assert!(a.naive_learn);
-        assert!(!a.no_score_cache);
     }
 
     #[test]

@@ -188,7 +188,11 @@ pub struct HoloConfig {
     pub distribution_prior: f64,
     /// Optional source-reliability features.
     pub source: Option<SourceConfig>,
-    /// SGD hyper-parameters.
+    /// SGD hyper-parameters. Every learning site — the one-shot
+    /// `LearnStage`, feedback retrains and streaming replay/report
+    /// retrains — reads them here and runs the one SGD kernel of
+    /// `holo_factor::learn`, whose fixed addition order makes weights
+    /// bitwise identical at every thread count.
     pub learn: LearnConfig,
     /// Gibbs hyper-parameters (clique variants only).
     pub gibbs: GibbsConfig,
@@ -347,25 +351,6 @@ impl HoloConfig {
         self
     }
 
-    /// Toggles the packed example-major learning kernel (builder style;
-    /// on by default via [`LearnConfig::packed`]). Every learning site —
-    /// the one-shot `LearnStage`, feedback retrains, and streaming
-    /// replay/report retrains — reads this through `self.learn`, so one
-    /// knob covers them all. A pure *wall-clock* knob like
-    /// [`HoloConfig::score_cache`]: weights, repairs, and posteriors are
-    /// byte-identical on or off, at every thread count (the naive path
-    /// is kept as the equivalence oracle; `--naive-learn` on the bench
-    /// binaries flips this off).
-    pub fn with_packed_learn(mut self, packed: bool) -> Self {
-        self.learn.packed = packed;
-        self
-    }
-
-    /// Whether training routes through the packed arena kernel.
-    pub fn packed_learn(&self) -> bool {
-        self.learn.packed
-    }
-
     /// Sets the per-component exact-inference ceiling (builder style);
     /// `0` disables exact enumeration so every clique-coupled component
     /// samples. See the field docs for the determinism contract.
@@ -483,13 +468,6 @@ mod tests {
         let c = HoloConfig::default();
         assert!(c.score_cache);
         assert!(!c.with_score_cache(false).score_cache);
-    }
-
-    #[test]
-    fn packed_learn_defaults_on_and_toggles() {
-        let c = HoloConfig::default();
-        assert!(c.packed_learn());
-        assert!(!c.with_packed_learn(false).packed_learn());
     }
 
     #[test]

@@ -221,9 +221,9 @@ impl FeedbackSession {
                 .fresh_pins
                 .len()
                 .min(self.config.stream.replay_window.max(1));
-            // Both retrain flavors ride `config.learn.packed`: each call
-            // gathers a fresh packed arena, so the matrices patched by
-            // this session's pins can never serve a stale pack.
+            // Both retrain flavors read the design matrix in place, so
+            // the rows patched by this session's pins are the rows they
+            // train on.
             learn::train_replay(
                 graph,
                 &mut self.weights,

@@ -410,8 +410,8 @@ impl Stage for LearnStage {
     fn run(&self, cx: &PipelineContext, data: &mut StageData) -> Result<(), HoloError> {
         let model = data.require_model("Learn")?;
         let mut weights = model.weights.clone();
-        // `config.learn.packed` (HoloConfig::with_packed_learn) selects
-        // the packed-arena kernel here and at every other learn site.
+        // Every learn site runs the one SGD kernel in `holo_factor::learn`;
+        // its fixed addition order keeps weights bitwise thread-invariant.
         data.learn_stats = if model.stats.evidence_vars > 0 {
             Some(learn::train_with_threads(
                 &model.graph,

@@ -665,9 +665,8 @@ impl StreamSession {
             let recent = self
                 .fresh_examples
                 .min(self.config.stream.replay_window.max(1));
-            // Replay rides `config.learn.packed` like every learn site:
-            // the arena is rebuilt per call, so batch-patched design
-            // matrices never serve a stale pack.
+            // Replay reads the batch-patched design matrix in place, like
+            // every learn site.
             let stats = learn::train_replay(
                 &self.graph,
                 &mut w,

@@ -31,26 +31,21 @@
 //! minibatch, so one epoch applies the same total step mass as classic
 //! per-example SGD at the same learning rate.
 //!
-//! ## The packed kernel and the naive oracle
+//! ## Addition order
 //!
-//! With [`LearnConfig::packed`] set (the default), every training entry
-//! point first gathers its eligible examples into a
-//! [`crate::packed::PackedArena`] — an example-major copy
-//! of the design rows with per-example local weight dictionaries — and
-//! the epochs then stream packed memory linearly with dense-slot
-//! gradient accumulation instead of hash maps (see [`crate::packed`]
-//! for the layout and the addition-order invariants). The arena lives
-//! for exactly one training call, like the inference-side `ScoreCache`,
-//! so patched design matrices can never serve a stale pack. With the
-//! knob off, the pre-arena path below runs unchanged; it is kept as the
-//! bit-for-bit **oracle** (`minibatch_gradient_naive`) that the packed
-//! kernel is property-tested against and the `learn_kernel` criterion
-//! group prices it against. Both paths produce identical weights,
-//! stats, and RNG consumption — the knob trades wall-clock only.
+//! There is one SGD kernel, and its floating-point addition order is part
+//! of its contract. Per epoch the example list takes exactly one seeded
+//! length-`n` shuffle. Inside a shard, gradient increments accumulate per
+//! weight in entry-visit order: examples in minibatch order, candidate
+//! rows in CSR order, entries in row order. Shard accumulators merge in
+//! shard order, and the summed gradient is applied in ascending weight-id
+//! order. Learned weights, [`LearnStats`] and therefore every repair are
+//! a bitwise function of that sequence; the thread-invariance, stream ≡
+//! one-shot and CRUD ≡ one-shot contracts rest on it, so any change to
+//! the loop must keep it.
 
 use crate::graph::{FactorGraph, VarId};
 use crate::math::softmax_in_place;
-use crate::packed::{self, EpochOutcome, PackedArena};
 use crate::weights::{WeightId, Weights};
 use holo_dataset::FxHashMap;
 use rand::rngs::StdRng;
@@ -61,15 +56,8 @@ use serde::{Deserialize, Serialize};
 /// Examples per gradient shard — the fixed parallel work unit inside a
 /// minibatch. Independent of the thread count by design (that is what
 /// makes the merge order, and hence the result, thread-count invariant);
-/// small enough that the default minibatch spans 16 shards. Shared with
-/// the packed kernel so both paths cut identical shard boundaries.
-pub(crate) const GRAD_SHARD_EXAMPLES: usize = 8;
-
-/// Below this many examples a minibatch's gradient folds inline: spawning
-/// scoped threads costs ~10µs each, which would rival the gradient work
-/// of a handful of examples. Purely a wall-clock guard — the shard
-/// boundaries (and hence the result) are identical either way.
-pub(crate) const MIN_PARALLEL_EXAMPLES: usize = 64;
+/// small enough that the default minibatch spans 16 shards.
+const GRAD_SHARD_EXAMPLES: usize = 8;
 
 /// SGD hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -88,12 +76,6 @@ pub struct LearnConfig {
     /// frozen at minibatch start and applied once per minibatch. `0` is
     /// treated as `1` (classic per-example SGD, fully sequential).
     pub minibatch: usize,
-    /// Route epochs through the packed example-major arena
-    /// ([`crate::packed`]) instead of the hash-map gradient path. On by
-    /// default; a pure wall-clock knob — weights, stats, and RNG
-    /// consumption are bit-for-bit identical either way (the naive path
-    /// is kept as the equivalence oracle and bench baseline).
-    pub packed: bool,
 }
 
 impl Default for LearnConfig {
@@ -105,7 +87,6 @@ impl Default for LearnConfig {
             l2: 1e-4,
             seed: 0x1ea2,
             minibatch: 128,
-            packed: true,
         }
     }
 }
@@ -129,14 +110,15 @@ pub struct LearnStats {
     /// stable convergence signal `diag` reports (near zero when the
     /// model has stopped moving).
     pub grad_norm_mean: f64,
-    /// Examples gathered into the packed arena (0 on the naive path).
-    pub packed_examples: usize,
-    /// Feature entries gathered into the packed arena (0 on the naive
-    /// path).
+    /// Design-matrix entries in the trained examples' candidate rows;
+    /// times [`LearnStats::packed_epochs`] this is the entry-visit count.
+    /// The `packed_*` names are kept for the benchmark harness, which
+    /// reads them.
     pub packed_entries: usize,
-    /// Resident bytes of the packed arena (0 on the naive path).
+    /// Always `0`: training reads the design matrix in place and makes
+    /// no copy. Kept for the benchmark harness.
     pub packed_bytes: usize,
-    /// Epochs served from the packed arena (0 on the naive path).
+    /// Epochs run over the examples. Kept for the benchmark harness.
     pub packed_epochs: usize,
 }
 
@@ -151,7 +133,6 @@ impl LearnStats {
             minibatches: 0,
             grad_norm: 0.0,
             grad_norm_mean: 0.0,
-            packed_examples: 0,
             packed_entries: 0,
             packed_bytes: 0,
             packed_epochs: 0,
@@ -227,7 +208,7 @@ pub fn train_examples(
         .filter(|&v| eligible_example(graph, v))
         .collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    run_epochs(
+    train_window(
         graph,
         weights,
         config,
@@ -247,13 +228,21 @@ fn eligible_example(graph: &FactorGraph, v: VarId) -> bool {
     var.evidence.is_some() && var.arity() > 1
 }
 
-/// The shared epoch driver: dispatches the (already filtered) example
-/// list to the packed kernel or the naive oracle on
-/// [`LearnConfig::packed`]. Both paths consume identical RNG draws (one
-/// length-`examples` shuffle per epoch) and produce bit-for-bit
-/// identical weights and stats; the packed path additionally fills the
-/// arena counters.
-fn run_epochs(
+/// What one epoch loop reports back to [`train_window`]'s stats
+/// assembly.
+struct EpochOutcome {
+    /// `Σ log P(target)` of the final epoch, divided by the example
+    /// count by the caller.
+    ll_sum: f64,
+    minibatches: usize,
+    grad_norm: f64,
+    grad_norm_mean: f64,
+}
+
+/// Trains on an already filtered example list and assembles its
+/// [`LearnStats`]: the shared tail of [`train_examples`] and
+/// [`train_replay`].
+fn train_window(
     graph: &FactorGraph,
     weights: &mut Weights,
     config: &LearnConfig,
@@ -262,29 +251,24 @@ fn run_epochs(
     rng: &mut StdRng,
     epochs: usize,
 ) -> LearnStats {
+    let design = graph.design();
     let mut stats = LearnStats::empty(examples.len(), epochs);
-    if config.packed {
-        let arena = PackedArena::pack(graph, graph.design(), weights, examples);
-        stats.packed_examples = arena.examples();
-        stats.packed_entries = arena.packed_entries();
-        stats.packed_bytes = arena.bytes();
-        stats.packed_epochs = epochs;
-        stats.absorb(packed::run_epochs(
-            &arena, weights, config, threads, rng, epochs,
-        ));
-    } else {
-        stats.absorb(run_epochs_naive(
-            graph, weights, config, threads, examples, rng, epochs,
-        ));
-    }
+    stats.packed_entries = examples
+        .iter()
+        .flat_map(|&v| design.var_range(v))
+        .map(|r| design.row(r).len())
+        .sum();
+    stats.packed_epochs = epochs;
+    stats.absorb(run_epochs(
+        graph, weights, config, threads, examples, rng, epochs,
+    ));
     stats
 }
 
-/// The pre-arena epoch loop — the `_naive` oracle the packed kernel is
-/// verified against (and the `learn_kernel` bench baseline). Walks the
-/// CSR design matrix per example and accumulates gradients in hash
-/// maps; production calls route through the packed kernel instead.
-fn run_epochs_naive(
+/// The epoch loop: one seeded shuffle per epoch, minibatch chunks whose
+/// gradients [`minibatch_gradient`] computes against frozen weights, and
+/// one sorted-order weight update per minibatch.
+fn run_epochs(
     graph: &FactorGraph,
     weights: &mut Weights,
     config: &LearnConfig,
@@ -310,7 +294,7 @@ fn run_epochs_naive(
         let mut epoch_minibatches = 0usize;
         for minibatch in examples.chunks(batch) {
             let Some((grad, ll)) =
-                minibatch_gradient_naive(graph, design, weights, config, threads, minibatch)
+                minibatch_gradient(graph, design, weights, config, threads, minibatch)
             else {
                 continue;
             };
@@ -394,7 +378,7 @@ pub fn train_replay(
     }
     // The epoch loop continues on the sampling RNG — the replay
     // trajectory is one deterministic stream per (seed, window size).
-    run_epochs(
+    train_window(
         graph,
         weights,
         config,
@@ -406,11 +390,13 @@ pub fn train_replay(
 }
 
 /// Sparse summed gradient of one minibatch (plus its log-likelihood sum),
-/// computed against the frozen `weights` — the hash-map oracle path.
-/// Examples fold in fixed-size shards merged in shard order, so the
-/// accumulation order — and the floating-point result — is independent
-/// of the thread count.
-fn minibatch_gradient_naive(
+/// computed against the frozen `weights`. Examples fold in fixed-size
+/// shards merged in shard order, so the accumulation order — and the
+/// floating-point result — is independent of the thread count. Below
+/// [`holo_parallel::MIN_PARALLEL_ITEMS`] examples the shards fold inline,
+/// since thread spawns would rival the gradient work; the shard
+/// boundaries, and hence the result, are the same either way.
+fn minibatch_gradient(
     graph: &FactorGraph,
     design: &crate::design::DesignMatrix,
     weights: &Weights,
@@ -418,7 +404,7 @@ fn minibatch_gradient_naive(
     threads: usize,
     minibatch: &[VarId],
 ) -> Option<(FxHashMap<WeightId, f64>, f64)> {
-    let threads = if minibatch.len() < MIN_PARALLEL_EXAMPLES {
+    let threads = if minibatch.len() < holo_parallel::MIN_PARALLEL_ITEMS {
         1
     } else {
         threads
@@ -542,7 +528,6 @@ mod tests {
                 l2: 0.0,
                 seed: 1,
                 minibatch: 32,
-                ..LearnConfig::default()
             },
         );
         let logit = w.get(f);
@@ -597,45 +582,40 @@ mod tests {
             }
         }
         for minibatch in [1, 7, 32, 64, 150, 400] {
-            for packed in [true, false] {
-                let cfg = LearnConfig {
-                    minibatch,
-                    packed,
-                    ..LearnConfig::default()
-                };
-                let mut reference = reg.build_weights();
-                let ref_stats = train_with_threads(&g, &mut reference, &cfg, 1);
-                for threads in [2, 4] {
-                    let mut w = reg.build_weights();
-                    let stats = train_with_threads(&g, &mut w, &cfg, threads);
-                    assert_eq!(
-                        w, reference,
-                        "minibatch = {minibatch}, threads = {threads}, packed = {packed}"
-                    );
-                    assert_eq!(stats.minibatches, ref_stats.minibatches);
-                    assert_eq!(stats.grad_norm.to_bits(), ref_stats.grad_norm.to_bits());
-                    assert_eq!(
-                        stats.grad_norm_mean.to_bits(),
-                        ref_stats.grad_norm_mean.to_bits()
-                    );
-                    assert_eq!(
-                        stats.final_log_likelihood.to_bits(),
-                        ref_stats.final_log_likelihood.to_bits()
-                    );
-                }
+            let cfg = LearnConfig {
+                minibatch,
+                ..LearnConfig::default()
+            };
+            let mut reference = reg.build_weights();
+            let ref_stats = train_with_threads(&g, &mut reference, &cfg, 1);
+            for threads in [2, 4] {
+                let mut w = reg.build_weights();
+                let stats = train_with_threads(&g, &mut w, &cfg, threads);
+                assert_eq!(w, reference, "minibatch = {minibatch}, threads = {threads}");
+                assert_eq!(stats.minibatches, ref_stats.minibatches);
+                assert_eq!(stats.grad_norm.to_bits(), ref_stats.grad_norm.to_bits());
+                assert_eq!(
+                    stats.grad_norm_mean.to_bits(),
+                    ref_stats.grad_norm_mean.to_bits()
+                );
+                assert_eq!(
+                    stats.final_log_likelihood.to_bits(),
+                    ref_stats.final_log_likelihood.to_bits()
+                );
             }
         }
     }
 
-    /// The headline equivalence of the packed kernel: for every
-    /// minibatch size, the packed trainer's weights and stats are
-    /// bit-for-bit the naive oracle's, and only the packed path reports
-    /// arena counters.
+    /// The benchmark counters: `packed_entries` is the design-matrix
+    /// entry count of the trained examples' rows (single-candidate and
+    /// query variables excluded), `packed_epochs` the epochs run, and
+    /// `packed_bytes` stays zero because training copies nothing.
     #[test]
-    fn packed_trainer_is_bitwise_the_naive_oracle() {
+    fn benchmark_counters_count_trained_design_entries() {
         let mut reg: FeatureRegistry<(u8, usize)> = FeatureRegistry::new();
         let prior = reg.fixed((b'p', 0), 1.25);
         let mut g = FactorGraph::new();
+        let mut expected = 0usize;
         for i in 0..90usize {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2), sym(3)], i % 3));
             for k in 0..3usize {
@@ -643,40 +623,24 @@ mod tests {
                 g.add_feature(v, k, w, 0.2 + ((i + k) % 4) as f64 * 0.4);
             }
             g.add_feature(v, i % 3, prior, 1.0);
+            expected += 4;
         }
-        for minibatch in [1, 8, 33, 128] {
-            let naive_cfg = LearnConfig {
-                minibatch,
-                packed: false,
-                ..LearnConfig::default()
-            };
-            let packed_cfg = LearnConfig {
-                packed: true,
-                ..naive_cfg
-            };
-            let mut w_naive = reg.build_weights();
-            let mut w_packed = reg.build_weights();
-            let s_naive = train_with_threads(&g, &mut w_naive, &naive_cfg, 2);
-            let s_packed = train_with_threads(&g, &mut w_packed, &packed_cfg, 2);
-            assert_eq!(w_packed, w_naive, "minibatch = {minibatch}");
-            assert_eq!(s_packed.minibatches, s_naive.minibatches);
-            assert_eq!(s_packed.grad_norm.to_bits(), s_naive.grad_norm.to_bits());
-            assert_eq!(
-                s_packed.grad_norm_mean.to_bits(),
-                s_naive.grad_norm_mean.to_bits()
-            );
-            assert_eq!(
-                s_packed.final_log_likelihood.to_bits(),
-                s_naive.final_log_likelihood.to_bits()
-            );
-            assert_eq!(s_packed.packed_examples, 90);
-            assert!(s_packed.packed_entries > 0);
-            assert!(s_packed.packed_bytes > 0);
-            assert_eq!(s_packed.packed_epochs, packed_cfg.epochs);
-            assert_eq!(s_naive.packed_examples, 0);
-            assert_eq!(s_naive.packed_bytes, 0);
-            assert_eq!(s_naive.packed_epochs, 0);
-        }
+        let single = g.add_variable(Variable::evidence(vec![sym(1)], 0));
+        g.add_feature(single, 0, prior, 1.0);
+        let q = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
+        g.add_feature(q, 0, prior, 1.0);
+        let cfg = LearnConfig::default();
+        let mut w = reg.build_weights();
+        let stats = train_with_threads(&g, &mut w, &cfg, 2);
+        assert_eq!(stats.examples, 90);
+        assert_eq!(stats.packed_entries, expected);
+        assert_eq!(stats.packed_epochs, cfg.epochs);
+        assert_eq!(stats.packed_bytes, 0);
+
+        let mut w_empty = Weights::zeros(0);
+        let empty = train(&FactorGraph::new(), &mut w_empty, &cfg);
+        assert_eq!(empty.packed_entries, 0);
+        assert_eq!(empty.packed_bytes, 0);
     }
 
     /// Regression: a non-evidence `VarId` slipping into an explicit
@@ -695,24 +659,19 @@ mod tests {
         let q = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         g.add_feature(q, 0, reg.learnable(0), 1.0);
         window.insert(4, q);
-        for packed in [true, false] {
-            let cfg = LearnConfig {
-                packed,
-                ..LearnConfig::default()
-            };
-            let mut w = reg.build_weights();
-            let stats = train_examples(&g, &mut w, &cfg, 1, &window);
-            assert_eq!(stats.examples, 12, "query var dropped, packed = {packed}");
-            let mut w_clean = reg.build_weights();
-            let clean: Vec<VarId> = window.iter().copied().filter(|&v| v != q).collect();
-            let stats_clean = train_examples(&g, &mut w_clean, &cfg, 1, &clean);
-            assert_eq!(w, w_clean, "filtered window trains identically");
-            assert_eq!(stats.minibatches, stats_clean.minibatches);
-            // Replay windows get the same treatment.
-            let mut w_replay = w.clone();
-            let s = train_replay(&g, &mut w_replay, &cfg, 1, &window, 4, 1);
-            assert_eq!(s.examples, 8, "4 fresh + 4 replayed, query excluded");
-        }
+        let cfg = LearnConfig::default();
+        let mut w = reg.build_weights();
+        let stats = train_examples(&g, &mut w, &cfg, 1, &window);
+        assert_eq!(stats.examples, 12, "query var dropped");
+        let mut w_clean = reg.build_weights();
+        let clean: Vec<VarId> = window.iter().copied().filter(|&v| v != q).collect();
+        let stats_clean = train_examples(&g, &mut w_clean, &cfg, 1, &clean);
+        assert_eq!(w, w_clean, "filtered window trains identically");
+        assert_eq!(stats.minibatches, stats_clean.minibatches);
+        // Replay windows get the same treatment.
+        let mut w_replay = w.clone();
+        let s = train_replay(&g, &mut w_replay, &cfg, 1, &window, 4, 1);
+        assert_eq!(s.examples, 8, "4 fresh + 4 replayed, query excluded");
     }
 
     /// `grad_norm_mean` averages the final epoch's minibatch norms: with
@@ -802,7 +761,10 @@ mod tests {
     }
 
     /// Replay training is deterministic, thread-count invariant, and
-    /// bounded by the window (not the full evidence set).
+    /// bounded by the window (not the full evidence set). The 80-example
+    /// window is one minibatch of at least
+    /// [`holo_parallel::MIN_PARALLEL_ITEMS`] examples, so threads 2 and 4
+    /// fold its shards on worker threads rather than inline.
     #[test]
     fn replay_is_deterministic_and_windowed() {
         let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
@@ -817,8 +779,9 @@ mod tests {
         let mut w1 = reg.build_weights();
         let base = train_with_threads(&g, &mut w1, &cfg, 1);
         let mut w2 = w1.clone();
-        let stats = train_replay(&g, &mut w2, &cfg, 1, &order, 10, 2);
-        assert_eq!(stats.examples, 20, "10 fresh + 10 replayed old");
+        let stats = train_replay(&g, &mut w2, &cfg, 1, &order, 40, 2);
+        assert_eq!(stats.examples, 80, "40 fresh + 40 replayed old");
+        assert!(stats.examples >= holo_parallel::MIN_PARALLEL_ITEMS);
         assert!(stats.minibatches > 0);
         assert!(
             stats.minibatches < base.minibatches,
@@ -826,7 +789,7 @@ mod tests {
         );
         for threads in [2, 4] {
             let mut w3 = w1.clone();
-            let s3 = train_replay(&g, &mut w3, &cfg, threads, &order, 10, 2);
+            let s3 = train_replay(&g, &mut w3, &cfg, threads, &order, 40, 2);
             assert_eq!(w3, w2, "threads = {threads}");
             assert_eq!(s3.minibatches, stats.minibatches);
         }

@@ -26,12 +26,9 @@
 //!   minibatch SGD (§2.2), i.e. multinomial logistic regression over the
 //!   design-matrix rows; L2 regularised, deterministic under a seed at
 //!   every thread count (fixed gradient shards merged in shard order).
-//! * [`packed`] — the example-major [`PackedArena`] the trainer gathers
-//!   per training call: contiguous per-example rows with local weight
-//!   dictionaries, scored by a packed clone of the blocked kernel with
-//!   dense-slot (hash-free) gradient accumulation. Bit-for-bit the
-//!   naive trainer at every thread count; rebuilt per call like
-//!   [`ScoreCache`].
+//!   One kernel reads the CSR rows in place; its addition order is fixed
+//!   (see the module docs), so weights are a bitwise function of the
+//!   seed and the example order.
 //! * [`gibbs`] — the Gibbs sampler used for approximate inference over
 //!   models with clique factors: sequential single-site sweeps over the
 //!   query variables, or deterministic chromatic color-class sweeps when a
@@ -63,7 +60,6 @@ pub mod graph;
 pub mod learn;
 pub mod marginals;
 pub mod math;
-pub mod packed;
 pub mod weights;
 
 #[cfg(test)]
@@ -82,5 +78,4 @@ pub use graph::{
 };
 pub use learn::{LearnConfig, LearnStats};
 pub use marginals::Marginals;
-pub use packed::PackedArena;
 pub use weights::{FeatureRegistry, WeightId, Weights};

@@ -295,9 +295,9 @@ proptest! {
 
 /// One evidence variable of a random training model: `(arity, target,
 /// per-candidate sparse features)`. Feature keys < 8 intern as tied
-/// learnable weights, keys ≥ 8 as fixed weights — so the packed arena's
-/// fixedness snapshot and the tied-slot dictionary both get exercised.
-/// Arity-1 variables exercise the eligibility filter.
+/// learnable weights, keys ≥ 8 as fixed weights — so tied weights and
+/// the fixed-weight skip both get exercised. Arity-1 variables exercise
+/// the eligibility filter.
 type EvidenceVar = (usize, usize, Vec<Vec<(usize, f64)>>);
 
 fn evidence_model() -> impl Strategy<Value = Vec<EvidenceVar>> {
@@ -344,57 +344,70 @@ fn weight_bits(w: &Weights) -> Vec<u64> {
         .collect()
 }
 
+/// Every `LearnStats` field, floats as bits, for bitwise comparison.
+fn learn_stats_bits(s: &learn::LearnStats) -> [u64; 9] {
+    [
+        s.final_log_likelihood.to_bits(),
+        s.examples as u64,
+        s.epochs as u64,
+        s.minibatches as u64,
+        s.grad_norm.to_bits(),
+        s.grad_norm_mean.to_bits(),
+        s.packed_entries as u64,
+        s.packed_bytes as u64,
+        s.packed_epochs as u64,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The packed trainer is bit-for-bit the naive hash-map oracle —
-    /// weights and `LearnStats.minibatches` — across random evidence
-    /// graphs, minibatch sizes, full training and replay windows, and
-    /// threads {1, 4}.
+    /// Threads {2, 4} train bit-for-bit like threads 1 — weights and
+    /// `LearnStats` — for both full training and replay windows. The
+    /// random model is replicated `copies` times so that minibatches and
+    /// replay windows reach `holo_parallel::MIN_PARALLEL_ITEMS` examples
+    /// and fold their shards on worker threads, not inline.
     #[test]
-    fn packed_trainer_bitwise_equals_naive(model in evidence_model(),
-                                           minibatch in 1usize..40,
-                                           recent in 0usize..12,
+    fn trainer_is_bitwise_thread_invariant(model in evidence_model(),
+                                           copies in 24usize..=48,
+                                           minibatch in 64usize..=160,
+                                           recent in 32usize..=96,
                                            replay_epochs in 1usize..3) {
-        let (graph, weights, order) = build_evidence(&model);
-        let naive_cfg = LearnConfig {
+        let replicated: Vec<EvidenceVar> =
+            std::iter::repeat_n(model.iter().cloned(), copies).flatten().collect();
+        let (graph, weights, order) = build_evidence(&replicated);
+        let cfg = LearnConfig {
             epochs: 3,
             minibatch,
-            packed: false,
             ..LearnConfig::default()
         };
-        let packed_cfg = LearnConfig { packed: true, ..naive_cfg };
-        for threads in [1usize, 4] {
-            let mut w_naive = weights.clone();
-            let mut w_packed = weights.clone();
-            let s_naive = learn::train_examples(&graph, &mut w_naive, &naive_cfg, threads, &order);
-            let s_packed =
-                learn::train_examples(&graph, &mut w_packed, &packed_cfg, threads, &order);
+        let mut w_ref = weights.clone();
+        let s_ref = learn::train_examples(&graph, &mut w_ref, &cfg, 1, &order);
+        let mut r_ref = w_ref.clone();
+        let s2_ref =
+            learn::train_replay(&graph, &mut r_ref, &cfg, 1, &order, recent, replay_epochs);
+        for threads in [2usize, 4] {
+            let mut w = weights.clone();
+            let s = learn::train_examples(&graph, &mut w, &cfg, threads, &order);
             prop_assert_eq!(
-                weight_bits(&w_packed),
-                weight_bits(&w_naive),
+                weight_bits(&w),
+                weight_bits(&w_ref),
                 "train_examples, threads = {}",
                 threads
             );
-            prop_assert_eq!(s_packed.minibatches, s_naive.minibatches);
-            prop_assert_eq!(s_packed.examples, s_naive.examples);
+            prop_assert_eq!(learn_stats_bits(&s), learn_stats_bits(&s_ref));
 
-            let mut r_naive = w_naive.clone();
-            let mut r_packed = w_naive.clone();
-            let s2_naive = learn::train_replay(
-                &graph, &mut r_naive, &naive_cfg, threads, &order, recent, replay_epochs,
-            );
-            let s2_packed = learn::train_replay(
-                &graph, &mut r_packed, &packed_cfg, threads, &order, recent, replay_epochs,
-            );
+            let mut r = w_ref.clone();
+            let s2 =
+                learn::train_replay(&graph, &mut r, &cfg, threads, &order, recent, replay_epochs);
             prop_assert_eq!(
-                weight_bits(&r_packed),
-                weight_bits(&r_naive),
+                weight_bits(&r),
+                weight_bits(&r_ref),
                 "train_replay, threads = {}, recent = {}",
                 threads,
                 recent
             );
-            prop_assert_eq!(s2_packed.minibatches, s2_naive.minibatches);
+            prop_assert_eq!(learn_stats_bits(&s2), learn_stats_bits(&s2_ref));
         }
     }
 }

@@ -263,81 +263,6 @@ where
     accs.into_iter().reduce(merge)
 }
 
-/// [`sharded_fold`] with **per-worker reusable scratch**: each worker
-/// thread folds its contiguous run of shards through one `&mut S` drawn
-/// from `scratches`, so shard folds can reuse large buffers (stamp
-/// arrays, gather buffers) instead of reallocating them per shard. At
-/// most `scratches.len()` workers run — size the slice with
-/// [`effective_threads`] of the intended budget.
-///
-/// Determinism contract: shard boundaries depend only on `shard_size`
-/// and accumulators still merge strictly in shard order, exactly like
-/// [`sharded_fold`] — but the *caller* must guarantee that `fold`'s
-/// result for a shard does not depend on which scratch instance it
-/// receives or on what earlier shards left inside it (reset the scratch
-/// at fold entry, e.g. with a generation stamp). With that, the result
-/// is bit-for-bit identical at every thread count, including the inline
-/// `threads = 1` path that reuses `scratches[0]` for every shard.
-pub fn sharded_fold_scratch<T: Sync, S: Send, A: Send, F, M>(
-    threads: usize,
-    items: &[T],
-    shard_size: usize,
-    scratches: &mut [S],
-    fold: F,
-    merge: M,
-) -> Option<A>
-where
-    F: Fn(&mut S, &[T]) -> A + Sync,
-    M: FnMut(A, A) -> A,
-{
-    if items.is_empty() {
-        return None;
-    }
-    assert!(
-        !scratches.is_empty(),
-        "sharded_fold_scratch needs at least one scratch"
-    );
-    let shards: Vec<&[T]> = items.chunks(shard_size.max(1)).collect();
-    let n = shards.len();
-    let workers = effective_threads(threads)
-        .min(n)
-        .min(scratches.len())
-        .max(1);
-    if workers == 1 {
-        let scratch = &mut scratches[0];
-        return shards
-            .into_iter()
-            .map(|shard| fold(scratch, shard))
-            .reduce(merge);
-    }
-    // Contiguous shard runs per worker (first `n % workers` runs one
-    // shard longer), mirroring `spawn_ranges`; outputs concatenate in
-    // worker order = shard order before the in-order reduce.
-    let base = n / workers;
-    let remainder = n % workers;
-    let mut results: Vec<Vec<A>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let (fold, shards) = (&fold, &shards);
-        let mut handles = Vec::with_capacity(workers);
-        let mut start = 0usize;
-        for (w, scratch) in scratches.iter_mut().take(workers).enumerate() {
-            let len = base + usize::from(w < remainder);
-            let offset = start;
-            start += len;
-            handles.push(scope.spawn(move || {
-                shards[offset..offset + len]
-                    .iter()
-                    .map(|shard| fold(scratch, shard))
-                    .collect::<Vec<A>>()
-            }));
-        }
-        for h in handles {
-            results.push(join_propagating(h));
-        }
-    });
-    results.into_iter().flatten().reduce(merge)
-}
-
 /// The shared spawn/merge scaffolding: splits `0..n` into `threads`
 /// contiguous ranges (the first `n % threads` one element longer), runs
 /// `f(start, len)` for each on a scoped thread, and concatenates the
@@ -583,77 +508,6 @@ mod tests {
     fn sharded_fold_empty_input_is_none() {
         let items: [u8; 0] = [];
         assert_eq!(sharded_fold(4, &items, 8, |s| s.len(), |a, b| a + b), None);
-    }
-
-    /// The scratch-carrying fold matches `sharded_fold` bit-for-bit at
-    /// every thread count when the fold resets its scratch on entry —
-    /// including with fewer scratches than requested threads.
-    #[test]
-    fn sharded_fold_scratch_matches_plain_fold() {
-        let items: Vec<f64> = (0..500).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let reference = sharded_fold(
-            1,
-            &items,
-            23,
-            |shard| shard.iter().sum::<f64>(),
-            |a, b| a + b,
-        )
-        .unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            for n_scratches in [1usize, 2, threads.max(1)] {
-                // A scratch that must be reset on entry: reused buffer.
-                let mut scratches: Vec<Vec<f64>> = vec![Vec::new(); n_scratches];
-                let out = sharded_fold_scratch(
-                    threads,
-                    &items,
-                    23,
-                    &mut scratches,
-                    |buf, shard| {
-                        buf.clear();
-                        buf.extend_from_slice(shard);
-                        buf.iter().sum::<f64>()
-                    },
-                    |a, b| a + b,
-                )
-                .unwrap();
-                assert_eq!(
-                    out.to_bits(),
-                    reference.to_bits(),
-                    "threads = {threads}, scratches = {n_scratches}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_fold_scratch_empty_input_is_none() {
-        let items: [u8; 0] = [];
-        let mut scratches = [0u8];
-        assert_eq!(
-            sharded_fold_scratch(4, &items, 8, &mut scratches, |_, s| s.len(), |a, b| a + b),
-            None
-        );
-    }
-
-    #[test]
-    fn sharded_fold_scratch_merge_sees_shard_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 3, 7] {
-            let mut scratches: Vec<()> = vec![(); effective_threads(threads)];
-            let merged = sharded_fold_scratch(
-                threads,
-                &items,
-                9,
-                &mut scratches,
-                |(), shard| shard.to_vec(),
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )
-            .unwrap();
-            assert_eq!(merged, items, "threads = {threads}");
-        }
     }
 
     #[test]
