@@ -9,7 +9,7 @@ use holo_bench::{build, Scale};
 use holo_constraints::{
     find_violations, find_violations_naive, find_violations_with_threads, parse_constraints,
 };
-use holo_datagen::DatasetKind;
+use holo_datagen::{DatasetKind, FoodConfig};
 use holo_dataset::{CooccurStats, FxHashSet};
 use holoclean::compile::{compile, CompileInput};
 use holoclean::domain::{prune_domains, prune_domains_with_threads};
@@ -128,6 +128,39 @@ fn bench_pruning(c: &mut Criterion) {
                 50,
                 1,
                 Some(gate),
+            ))
+        })
+    });
+    // Food at the end-to-end benchmark's size (2,000 establishments, ~18k
+    // rows): low-cardinality conditioning values (a city, a state) make
+    // groups large and shared by many cells — the case the per-pass group
+    // memo exists for, and one small-scale hospital does not price.
+    let mut food = holo_datagen::food(FoodConfig {
+        establishments: 2_000,
+        seed: 1,
+        ..FoodConfig::default()
+    });
+    let cons = parse_constraints(&food.constraints_text, &mut food.dirty).unwrap();
+    let food_noisy: Vec<_> = {
+        let mut cells: FxHashSet<_> = FxHashSet::default();
+        for v in &find_violations(&food.dirty, &cons) {
+            cells.extend(v.cells.iter().copied());
+        }
+        let mut cells: Vec<_> = cells.into_iter().collect();
+        cells.sort_unstable();
+        cells
+    };
+    let food_stats = CooccurStats::build(&food.dirty);
+    group.sample_size(10);
+    group.bench_function("food_tau_0.5", |b| {
+        b.iter(|| {
+            black_box(prune_domains_with_threads(
+                &food.dirty,
+                &food_noisy,
+                &food_stats,
+                0.5,
+                50,
+                1,
             ))
         })
     });

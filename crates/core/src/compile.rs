@@ -19,7 +19,7 @@
 //!    Infer read.
 
 use crate::config::HoloConfig;
-use crate::domain::CellDomains;
+use crate::domain::{CellDomains, DomainPruner, PruneGate};
 use crate::error::HoloError;
 use crate::features::{
     collect_cooccur_features, collect_distribution_feature, collect_external_features,
@@ -112,7 +112,7 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     let mut registry: FeatureRegistry<FeatureKey> = FeatureRegistry::new();
     let mut cstats = CompileStats::default();
 
-    // ---- 1. domains for noisy cells (Alg. 2 + dictionary assertions) ----
+    // ---- 1. domains for noisy and evidence cells (Alg. 2 + dictionary assertions) ----
     let mut asserted_by_cell: FxHashMap<CellRef, Vec<Sym>> = FxHashMap::default();
     for &(cell, sym) in matches.keys() {
         asserted_by_cell.entry(cell).or_default().push(sym);
@@ -122,26 +122,36 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     // Optional BClean-style correlation gate: computed once from the
     // maintained counts (cached inside the statistics until the next
     // mutation) and applied to both the noisy and evidence prunes.
-    let gate = config
-        .cor_strength
-        .map(|min_corr| crate::domain::PruneGate {
-            corr: stats.correlations(),
-            min_corr,
-        });
-    // Per-cell pruning reads only the dataset and the statistics, so the
-    // noisy cells shard across worker threads; merging in sorted-cell
-    // order keeps the result independent of the thread count.
-    let pruned = holo_parallel::parallel_map(threads, &noisy_cells, |_, &cell| {
-        crate::domain::prune_cell_gated(
-            ds,
-            cell,
-            stats,
-            config.tau,
-            config.max_domain,
-            config.min_cond_support,
-            gate,
-        )
+    let gate = config.cor_strength.map(|min_corr| PruneGate {
+        corr: stats.correlations(),
+        min_corr,
     });
+    // Evidence: sample clean cells per attribute (sequential — it consumes
+    // the seeded RNG, and reads nothing pruning produces).
+    let selected = select_evidence_cells(ds, noisy, config);
+    let evidence_tau = config.tau.min(config.evidence_tau_cap);
+    // One Algorithm 2 memo serves both passes: built at the lower of the
+    // two thresholds, it scans each co-occurrence group the noisy and
+    // evidence cells read once. Cells then prune from it in parallel;
+    // merging in sorted-cell order keeps the result independent of the
+    // thread count.
+    let pruner = DomainPruner::build(
+        ds,
+        stats,
+        noisy_cells.iter().chain(&selected).copied(),
+        evidence_tau,
+        config.min_cond_support,
+        gate,
+        threads,
+    );
+    let pruned = holo_parallel::parallel_map(threads, &noisy_cells, |_, &cell| {
+        pruner.prune(ds, cell, config.tau, config.max_domain)
+    });
+    let evidence_domains = holo_parallel::parallel_map(threads, &selected, |_, &cell| {
+        pruner.prune(ds, cell, evidence_tau, config.max_domain)
+    });
+    // Free the memo before featurization allocates the feature buffers.
+    drop(pruner);
     let mut domains = CellDomains::default();
     for (&cell, mut dom) in noisy_cells.iter().zip(pruned) {
         if let Some(asserted) = asserted_by_cell.get(&cell) {
@@ -174,22 +184,6 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     cstats.query_vars = query_vars.len();
     cstats.total_candidates = query_vars.iter().map(|&v| graph.var(v).arity()).sum();
 
-    // Evidence: sample clean cells per attribute. Selection stays
-    // sequential (it consumes the seeded RNG); the Algorithm 2 pruning of
-    // the selected cells — the expensive part — shards across threads.
-    let selected = select_evidence_cells(ds, noisy, config);
-    let evidence_tau = config.tau.min(config.evidence_tau_cap);
-    let evidence_domains = holo_parallel::parallel_map(threads, &selected, |_, &cell| {
-        crate::domain::prune_cell_gated(
-            ds,
-            cell,
-            stats,
-            evidence_tau,
-            config.max_domain,
-            config.min_cond_support,
-            gate,
-        )
-    });
     let mut evidence: Vec<(CellRef, Vec<Sym>, usize)> = Vec::new();
     for (&cell, mut dom) in selected.iter().zip(evidence_domains) {
         // Dictionary assertions join the evidence domains too: an

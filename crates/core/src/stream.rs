@@ -122,7 +122,7 @@ use crate::compile::{
 };
 use crate::config::HoloConfig;
 use crate::context::DatasetContext;
-use crate::domain::CellDomains;
+use crate::domain::{CellDomains, DomainPruner, PruneGate};
 use crate::error::HoloError;
 use crate::features::{DcFeaturizer, FeatureBuffer, FeatureKey, MatchLookup};
 use crate::pipeline::{StageKind, StageTimings};
@@ -942,26 +942,32 @@ impl StreamSession {
         let no_matches = MatchLookup::default();
         // Correlation gate, recomputed lazily at this batch boundary (the
         // mutation that scheduled this recompile reset the cached view).
-        let gate = config
-            .cor_strength
-            .map(|min_corr| crate::domain::PruneGate {
-                corr: stats.correlations(),
-                min_corr,
-            });
-        let computed: Vec<(Vec<Sym>, FeatureBuffer)> =
+        let gate = config.cor_strength.map(|min_corr| PruneGate {
+            corr: stats.correlations(),
+            min_corr,
+        });
+        // Prune every work cell from one Algorithm 2 memo (built at the
+        // evidence τ, the lower threshold), then free it before any
+        // feature buffer is built.
+        let pruner = DomainPruner::build(
+            ds,
+            stats,
+            work.iter().map(|&(cell, _)| cell),
+            evidence_tau,
+            config.min_cond_support,
+            gate,
+            threads,
+        );
+        let domains: Vec<Vec<Sym>> =
             holo_parallel::parallel_map(threads, &work, |_, &(cell, query)| {
                 let tau = if query { config.tau } else { evidence_tau };
-                let domain = crate::domain::prune_cell_gated(
-                    ds,
-                    cell,
-                    stats,
-                    tau,
-                    config.max_domain,
-                    config.min_cond_support,
-                    gate,
-                );
+                pruner.prune(ds, cell, tau, config.max_domain)
+            });
+        drop(pruner);
+        let buffers: Vec<FeatureBuffer> =
+            holo_parallel::parallel_map(threads, &work, |i, &(cell, _)| {
                 let mut buf = FeatureBuffer::default();
-                if domain.len() >= 2 {
+                if domains[i].len() >= 2 {
                     collect_cell_features(
                         &mut buf,
                         ds,
@@ -971,14 +977,17 @@ impl StreamSession {
                         dc_featurizer.as_ref(),
                         None,
                         cell,
-                        &domain,
+                        &domains[i],
                     );
                 }
-                (domain, buf)
+                buf
             });
         report.cells_recomputed = work.len();
-        let mut fresh: FxHashMap<CellRef, (Vec<Sym>, FeatureBuffer)> =
-            work.iter().map(|&(cell, _)| cell).zip(computed).collect();
+        let mut fresh: FxHashMap<CellRef, (Vec<Sym>, FeatureBuffer)> = work
+            .iter()
+            .map(|&(cell, _)| cell)
+            .zip(domains.into_iter().zip(buffers))
+            .collect();
 
         // ---- Diff against the live graph, in canonical order ----
         let mut cstats = CompileStats::default();
